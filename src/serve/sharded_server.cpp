@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "serve/async_manager.hpp"
 #include "sim/executor.hpp"
 #include "support/contract.hpp"
 
@@ -79,6 +78,7 @@ ShardedServer::ShardedServer(const ShardedServerSpec& spec,
   admission_ = std::make_unique<AdmissionController>(pool_, shard_budget_,
                                                      spec.placement);
   shards_.resize(spec.num_shards);
+  members_.resize(spec.num_shards);
   for (std::size_t s = 0; s < shards_.size(); ++s) shards_[s].index = s;
 
   // Scenario disconnect windows become forced leave/rejoin pairs in the
@@ -149,18 +149,12 @@ void ShardedServer::rebuild_shard(Shard& shard) {
   shard.pplatform.reset();
   shard.manager.reset();
   shard.mix.reset();
-  if (!shard.members.empty()) {
-    shard.mix = std::make_unique<MultiTaskMix>(pool_, shard.members,
-                                               shard_budget_);
-    if (spec_.async_manager) {
-      shard.manager = std::make_unique<AsyncBatchMultiTaskManager>(
-          shard.mix->composed(), shard.mix->engines(), spec_.mode,
-          spec_.layout, spec_.kernel);
-    } else {
-      shard.manager = std::make_unique<BatchMultiTaskManager>(
-          shard.mix->composed(), shard.mix->engines(), spec_.mode,
-          spec_.layout, spec_.kernel);
-    }
+  const std::vector<std::size_t>& members = members_[shard.index];
+  if (!members.empty()) {
+    shard.mix = std::make_unique<MultiTaskMix>(pool_, members, shard_budget_);
+    shard.manager = std::make_unique<BatchMultiTaskManager>(
+        shard.mix->composed(), shard.mix->engines(), spec_.mode, spec_.layout,
+        spec_.kernel);
     if (!spec_.perturb.empty()) {
       // The cursor (scenario + shard salt) survives rebuilds; only the
       // wrappers around the fresh mix/manager are rebuilt. Horizon =
@@ -192,152 +186,95 @@ void ShardedServer::rebuild_shard(Shard& shard) {
   shard.dirty = false;
 }
 
-void ShardedServer::place_initial_tasks() {
-  std::vector<std::vector<std::size_t>> memberships(shards_.size());
-  for (std::size_t task = 0; task < spec_.initial_tasks; ++task) {
-    AdmissionDecision decision = admission_->admit(task, memberships, 0);
-    if (decision.admitted) {
-      memberships[decision.shard].push_back(task);
+ShardedServer::JoinResult ShardedServer::join(std::size_t task,
+                                              std::size_t cycle) {
+  for (const std::vector<std::size_t>& members : members_) {
+    if (std::find(members.begin(), members.end(), task) != members.end()) {
+      return JoinResult::kPresent;
     }
-    admissions_.push_back(std::move(decision));
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].members = std::move(memberships[s]);
-    shards_[s].acc = std::make_unique<RunSummaryAccumulator>(
-        "shard-" + std::to_string(s));
-    if (!spec_.perturb.empty()) {
-      // On a real-time backend, shard-stall windows cost budget and their
-      // misses must be attributed as stress like any other fault.
-      shards_[s].acc->track_stress_windows(
-          spec_.perturb.stress_ranges(spec_.clock != ClockMode::kSim));
-    }
-    shards_[s].dirty = true;
+  for (const Parked& parked : parked_) {
+    if (parked.task == task) return JoinResult::kPresent;
   }
+  AdmissionDecision decision = admission_->admit(task, members_, cycle);
+  const bool admitted = decision.admitted;
+  if (admitted) {
+    members_[decision.shard].push_back(task);
+    shards_[decision.shard].dirty = true;
+  }
+  admissions_.push_back(std::move(decision));
+  return admitted ? JoinResult::kAdmitted : JoinResult::kRejected;
 }
 
-void ShardedServer::apply_events(std::size_t cycle) {
-  for (const ArrivalEvent& event : schedule_.events_at(cycle)) {
-    if (!event.join) {
-      for (Shard& shard : shards_) {
-        auto it = std::find(shard.members.begin(), shard.members.end(),
-                            event.task);
-        if (it != shard.members.end()) {
-          shard.members.erase(it);
-          shard.dirty = true;
-          ++leaves_;
-          break;
-        }
-      }
-      continue;
+bool ShardedServer::leave(std::size_t task) {
+  for (std::size_t s = 0; s < members_.size(); ++s) {
+    auto it = std::find(members_[s].begin(), members_[s].end(), task);
+    if (it != members_[s].end()) {
+      members_[s].erase(it);
+      shards_[s].dirty = true;
+      return true;
     }
-    std::vector<std::vector<std::size_t>> memberships;
-    memberships.reserve(shards_.size());
-    for (const Shard& shard : shards_) memberships.push_back(shard.members);
-    AdmissionDecision decision = admission_->admit(event.task, memberships,
-                                                   cycle);
-    if (decision.admitted) {
-      shards_[decision.shard].members.push_back(event.task);
-      shards_[decision.shard].dirty = true;
-    }
-    admissions_.push_back(std::move(decision));
   }
+  auto it = std::find_if(parked_.begin(), parked_.end(),
+                         [task](const Parked& p) { return p.task == task; });
+  if (it == parked_.end()) return false;
+  parked_.erase(it);
+  return true;
 }
 
-void ShardedServer::apply_frontend(std::size_t cycle) {
-  if (!spec_.frontend) return;
-  for (const FrontendRequest& r : spec_.frontend->take_matured(cycle)) {
-    if (r.task >= pool_->size()) {
-      ++frontend_dropped_;
-      continue;
-    }
-    if (r.kind == RequestKind::kLeave) {
-      bool found = false;
-      for (Shard& shard : shards_) {
-        auto it = std::find(shard.members.begin(), shard.members.end(),
-                            r.task);
-        if (it != shard.members.end()) {
-          shard.members.erase(it);
-          shard.dirty = true;
-          ++leaves_;
-          ++frontend_applied_;
-          found = true;
-          break;
-        }
-      }
-      if (!found) ++frontend_dropped_;
-      continue;
-    }
-    // A join for a task already resident somewhere is a racy duplicate —
-    // drop it (counted) rather than double-admit; ArrivalSchedules cannot
-    // express this state, so the differential paths never disagree here.
-    bool present = false;
-    for (const Shard& shard : shards_) {
-      if (std::find(shard.members.begin(), shard.members.end(), r.task) !=
-          shard.members.end()) {
-        present = true;
-        break;
-      }
-    }
-    if (present) {
-      ++frontend_dropped_;
-      continue;
-    }
-    std::vector<std::vector<std::size_t>> memberships;
-    memberships.reserve(shards_.size());
-    for (const Shard& shard : shards_) memberships.push_back(shard.members);
-    AdmissionDecision decision = admission_->admit(r.task, memberships, cycle);
-    if (decision.admitted) {
-      shards_[decision.shard].members.push_back(r.task);
-      shards_[decision.shard].dirty = true;
-    }
-    ++frontend_applied_;
-    admissions_.push_back(std::move(decision));
-  }
-}
-
-void ShardedServer::apply_governor(std::size_t cycle) {
-  // Shed first: shards whose governor crossed the shed threshold (or got
-  // a watchdog escalation) park their most recently admitted members —
+void ShardedServer::apply_barrier(std::size_t cycle) {
+  // Governor sheds: shards whose governor crossed the shed threshold (or
+  // got a watchdog escalation) park their most recently admitted members —
   // the back of the composition order, deterministic and cheapest to
   // re-admit. A shard never sheds below one member.
   for (Shard& shard : shards_) {
-    if (!shard.pacer) continue;
-    if (!shard.pacer->governor().take_shed_request()) continue;
-    if (shard.members.size() <= 1) continue;
-    std::size_t to_shed = std::max<std::size_t>(1, shard.members.size() / 4);
-    while (to_shed-- > 0 && shard.members.size() > 1) {
-      parked_.push_back({shard.members.back(), shard.index});
-      shard.members.pop_back();
+    if (!shard.pacer || !shard.pacer->governor().take_shed_request()) continue;
+    const std::vector<std::size_t>& members = members_[shard.index];
+    std::size_t to_shed = std::max<std::size_t>(1, members.size() / 4);
+    while (to_shed-- > 0 && members.size() > 1) {
+      const std::size_t task = members.back();
+      leave(task);
+      parked_.push_back({task, shard.index});
       ++shed_tasks_;
     }
-    shard.dirty = true;
   }
-
   // Re-admission: once a parked task's origin shard is back to Normal
-  // (hysteresis satisfied), it asks to rejoin through the normal
-  // admission path — logged like any join, possibly landing elsewhere.
-  std::vector<Parked> still_parked;
-  for (const Parked& parked : parked_) {
-    if (shards_[parked.origin].pacer->governor().state() !=
-        GovernorState::kNormal) {
-      still_parked.push_back(parked);
-      continue;
-    }
-    std::vector<std::vector<std::size_t>> memberships;
-    memberships.reserve(shards_.size());
-    for (const Shard& shard : shards_) memberships.push_back(shard.members);
-    AdmissionDecision decision =
-        admission_->admit(parked.task, memberships, cycle);
-    if (decision.admitted) {
-      shards_[decision.shard].members.push_back(parked.task);
-      shards_[decision.shard].dirty = true;
+  // (hysteresis satisfied), it asks to rejoin through admission — logged
+  // like any join, possibly landing elsewhere. A rejected task stays
+  // parked.
+  std::vector<Parked> waiting;
+  waiting.swap(parked_);
+  for (const Parked& parked : waiting) {
+    if (shards_[parked.origin].pacer->governor().state() ==
+            GovernorState::kNormal &&
+        join(parked.task, cycle) == JoinResult::kAdmitted) {
       ++readmitted_tasks_;
     } else {
-      still_parked.push_back(parked);
+      parked_.push_back(parked);
     }
-    admissions_.push_back(std::move(decision));
   }
-  parked_ = std::move(still_parked);
+
+  for (const ArrivalEvent& event : schedule_.events_at(cycle)) {
+    if (!event.join) {
+      if (leave(event.task)) ++leaves_;
+    } else {
+      join(event.task, cycle);
+    }
+  }
+
+  if (!spec_.frontend) return;
+  for (const FrontendRequest& r : spec_.frontend->take_matured(cycle)) {
+    bool applied = false;
+    if (r.task < pool_->size()) {
+      if (r.kind == RequestKind::kLeave) {
+        applied = leave(r.task);
+        if (applied) ++leaves_;
+      } else {
+        applied = join(r.task, cycle) != JoinResult::kPresent;
+      }
+    }
+    ++(applied ? frontend_applied_ : frontend_dropped_);
+  }
 }
 
 void ShardedServer::run_shard_segment(Shard& shard, std::size_t start_cycle,
@@ -404,9 +341,8 @@ void ShardedServer::run_segment(std::size_t start_cycle, std::size_t cycles) {
                                             : spec_.num_workers,
                                         shards_.size()));
   // Any exception escaping a shard segment — a throwing sink, an engine
-  // contract failure, a manager-thread fault — is wrapped into a
-  // ServeError attributing the failing shard, instead of escaping a
-  // worker thread to std::terminate.
+  // contract failure — is wrapped into a ServeError attributing the
+  // failing shard, instead of escaping a worker thread to std::terminate.
   if (workers == 1) {
     for (Shard& shard : shards_) {
       try {
@@ -461,16 +397,29 @@ ServingSummary ShardedServer::serve() {
   SPEEDQM_REQUIRE(!served_, "ShardedServer: serve() is one-shot");
   served_ = true;
 
-  place_initial_tasks();
+  for (std::size_t task = 0; task < spec_.initial_tasks; ++task) {
+    join(task, 0);
+  }
+  // Accumulators are allocated after initial placement on purpose:
+  // allocated before it, perfbench `steady` ran ~30% slower, consistent
+  // with false sharing between neighbouring accumulators that different
+  // worker threads write on every step.
+  for (Shard& shard : shards_) {
+    shard.acc = std::make_unique<RunSummaryAccumulator>(
+        "shard-" + std::to_string(shard.index));
+    if (!spec_.perturb.empty()) {
+      // On a real-time backend, shard-stall windows cost budget and their
+      // misses must be attributed as stress like any other fault.
+      shard.acc->track_stress_windows(
+          spec_.perturb.stress_ranges(spec_.clock != ClockMode::kSim));
+    }
+  }
   // Hand-written schedules may carry cycle-0 events (generated ones start
   // at cycle 1); they apply right after initial placement. Events at or
   // beyond the horizon never fire. Front-end requests targeting cycle 0
   // apply at the same point, after the schedule's events.
-  apply_events(0);
-  if (spec_.frontend) {
-    spec_.frontend->drain();
-    apply_frontend(0);
-  }
+  if (spec_.frontend) spec_.frontend->drain();
+  apply_barrier(0);
 
   // Real-time backends get their pacers up front (they outlive every
   // rebuild) and, on the real wall clock, a host watchdog thread sampling
@@ -532,9 +481,7 @@ ServingSummary ShardedServer::serve() {
     run_segment(cursor, next - cursor);
     cursor = next;
     if (cursor >= spec_.cycles) break;
-    if (realtime) apply_governor(cursor);
-    apply_events(cursor);
-    apply_frontend(cursor);
+    apply_barrier(cursor);
   }
 
   const double wall_seconds =
@@ -549,7 +496,7 @@ ServingSummary ShardedServer::serve() {
     Shard& shard = shards_[s];
     ShardReport report;
     report.shard = s;
-    report.members = shard.members;
+    report.members = members_[s];
     report.summary = shard.acc->finish();
     report.clock = shard.clock;
     report.epochs = shard.epochs + (shard.manager ? shard.manager->epochs() : 0);

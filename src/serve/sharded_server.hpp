@@ -4,9 +4,8 @@
 //
 // Scale-out shape (the II-CC-FF "shard -> combine" paradigm): the task
 // pool is partitioned across shards; each shard composes ITS members into
-// one interleaved schedule, decides them with one BatchDecisionEngine (or
-// its async twin — serve/async_manager.hpp — whose engine runs on a
-// dedicated manager thread), executes cycles against its own platform
+// one interleaved schedule, decides them inline on the action thread with
+// one BatchMultiTaskManager, executes cycles against its own platform
 // clock, and folds its steps through a private RunSummaryAccumulator.
 // Shards share nothing mutable: the TaskPool invariant (a task belongs to
 // at most one shard) keeps trace cursors single-owner, so S shards on W
@@ -16,8 +15,10 @@
 //
 // Dynamics: an ArrivalSchedule (workload/arrivals.hpp) splits the serving
 // horizon into segments. Between segments — on the control thread, never
-// concurrently with shard execution — leaves are applied and join requests
-// are evaluated by the AdmissionController (best-fit across shards,
+// concurrently with shard execution — governor sheds and re-admissions,
+// schedule events and front-end requests all pass through one join/leave
+// path: leaves erase the task from its shard (or un-park it), joins are
+// evaluated by the AdmissionController (best-fit across shards,
 // feasibility via the coexistence-margin model). Affected shards rebuild
 // their composition and resume from their own clock via the executor's
 // start_cycle/start_time hand-off. Because admission runs only at these
@@ -80,9 +81,6 @@ struct ShardedServerSpec {
   std::size_t num_workers = 0;
   /// Serving horizon: cycles each shard executes.
   std::size_t cycles = 64;
-  /// Route every shard's engine through a manager thread + decision
-  /// exchange instead of deciding inline on the action thread.
-  bool async_manager = false;
   BatchDecisionEngine::Mode mode = BatchDecisionEngine::Mode::kTabled;
   /// Arena layout of every shard's engine (tabled mode): kCompressed
   /// serves the same decisions from the delta-coded tables — bit-identical
@@ -158,9 +156,8 @@ class ShardedServer {
  private:
   struct Shard {
     std::size_t index = 0;
-    std::vector<std::size_t> members;
     std::unique_ptr<MultiTaskMix> mix;              // null while empty
-    std::unique_ptr<MultiTaskEpochManager> manager;
+    std::unique_ptr<BatchMultiTaskManager> manager;
     std::unique_ptr<RunSummaryAccumulator> acc;
     // Perturbation decorators (null when the scenario is empty — the
     // unperturbed code path does not change at all). The cursor is salted
@@ -185,18 +182,19 @@ class ShardedServer {
     bool dirty = false;        ///< membership changed; rebuild before running
   };
 
-  void place_initial_tasks();
-  void apply_events(std::size_t cycle);
-  /// Applies the front-end requests matured at `cycle` (no-op without a
-  /// front-end): leaves erase the member, joins go through admission.
-  /// Join-of-present / leave-of-absent requests are dropped with a count,
-  /// mirroring merge_forced_events' tolerance for racy scripts.
-  void apply_frontend(std::size_t cycle);
-  /// Acts on governor verdicts at a segment boundary: sheds members of
-  /// shards whose governor requested it (parking them) and re-admits
-  /// parked tasks through the AdmissionController once their origin
-  /// shard's governor is back to Normal.
-  void apply_governor(std::size_t cycle);
+  enum class JoinResult { kPresent, kAdmitted, kRejected };
+  /// The one admission path: a task already on a shard or parked is left
+  /// alone (kPresent); otherwise the AdmissionController places it against
+  /// the current memberships and the decision is logged.
+  JoinResult join(std::size_t task, std::size_t cycle);
+  /// The one removal path: erases the task from its shard, or un-parks it.
+  /// Returns false when the task is neither resident nor parked.
+  bool leave(std::size_t task);
+  /// Membership changes at a barrier, in fixed order: governor sheds and
+  /// re-admissions, then schedule events, then matured front-end requests.
+  /// Front-end join-of-present / leave-of-absent requests are dropped with
+  /// a count, mirroring merge_forced_events' tolerance for racy scripts.
+  void apply_barrier(std::size_t cycle);
   /// Creates the shard's backend clock + pacer (clock != kSim), once.
   void ensure_realtime(Shard& shard);
   void rebuild_shard(Shard& shard);
@@ -212,6 +210,9 @@ class ShardedServer {
   TimeNs shard_budget_ = 0;
   std::unique_ptr<AdmissionController> admission_;
   std::vector<Shard> shards_;
+  /// Per-shard member lists (composition order), indexed like shards_ —
+  /// the form AdmissionController::admit reads, so joins pass it as is.
+  std::vector<std::vector<std::size_t>> members_;
   std::vector<AdmissionDecision> admissions_;
   std::size_t leaves_ = 0;
   std::size_t scripted_disconnects_ = 0;

@@ -4,22 +4,23 @@
 //     decision ops, step-for-step quality stream);
 //   * TaskPool/MultiTaskMix refactor: pool-assembled all-members mixes
 //     reproduce the historical spec-constructed mix exactly;
-//   * async manager invocation (manager thread + decision exchange) is
-//     bit-identical to the inline engine;
 //   * admission decisions are deterministic and identical across worker
 //     counts, with rejections on overload;
 //   * arrival scenarios: segmented runs with joins/leaves stay
 //     deterministic and feasible-by-construction schedules validate;
+//   * one membership path: scripted leaves and joins of tasks the overload
+//     governor has parked keep every task on at most one shard, once;
 //   * executor resume hand-off: a run split at a cycle boundary with
 //     start_cycle/start_time equals the unsplit run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/batch_engine.hpp"
 #include "core/feasibility.hpp"
 #include "serve/admission.hpp"
-#include "serve/async_manager.hpp"
+#include "serve/frontend.hpp"
 #include "serve/sharded_server.hpp"
 #include "sim/metrics.hpp"
 #include "support/contract.hpp"
@@ -131,59 +132,6 @@ TEST(ShardedServer, SingleShardBitIdenticalToDirectBatchManager) {
   EXPECT_EQ(serving.shards[0].clock, run.total_time);
   EXPECT_EQ(serving.total_steps, direct.total_steps);
   EXPECT_EQ(serving.mean_quality, direct.mean_quality);
-}
-
-// --- Async manager ----------------------------------------------------------
-
-TEST(AsyncManager, BitIdenticalToInlineEngine) {
-  const MultiTaskMixSpec mix_spec = small_mix_spec(4, 33);
-  const std::size_t cycles = 6;
-
-  MultiTaskMix mix_sync(mix_spec);
-  BatchMultiTaskManager sync_manager(mix_sync.composed(), mix_sync.engines());
-  RunSummaryAccumulator sync_acc("sync");
-  ExecutorOptions opts = mix_sync.executor_options(cycles);
-  opts.retain_steps = false;
-  opts.retain_cycles = false;
-  opts.sink = &sync_acc;
-  run_cyclic(mix_sync.composed().app(), sync_manager, mix_sync.source(), opts);
-
-  MultiTaskMix mix_async(mix_spec);
-  AsyncBatchMultiTaskManager async_manager(mix_async.composed(),
-                                           mix_async.engines());
-  RunSummaryAccumulator async_acc("async");
-  ExecutorOptions aopts = mix_async.executor_options(cycles);
-  aopts.retain_steps = false;
-  aopts.retain_cycles = false;
-  aopts.sink = &async_acc;
-  run_cyclic(mix_async.composed().app(), async_manager, mix_async.source(),
-             aopts);
-
-  expect_summaries_identical(sync_acc.finish(), async_acc.finish());
-  EXPECT_EQ(async_manager.memory_bytes(), sync_manager.memory_bytes());
-  EXPECT_EQ(async_manager.num_table_integers(),
-            sync_manager.num_table_integers());
-}
-
-TEST(AsyncManager, ShardedServerAsyncMatchesInline) {
-  ShardedServerSpec spec;
-  spec.mix = small_mix_spec(6, 5);
-  spec.num_shards = 2;
-  spec.num_workers = 1;
-  spec.cycles = 8;
-
-  ShardedServerSpec async_spec = spec;
-  async_spec.async_manager = true;
-
-  const ServingSummary inline_summary = ShardedServer(spec).serve();
-  const ServingSummary async_summary = ShardedServer(async_spec).serve();
-  ASSERT_EQ(inline_summary.shards.size(), async_summary.shards.size());
-  for (std::size_t s = 0; s < inline_summary.shards.size(); ++s) {
-    expect_summaries_identical(inline_summary.shards[s].summary,
-                               async_summary.shards[s].summary);
-    EXPECT_EQ(inline_summary.shards[s].members,
-              async_summary.shards[s].members);
-  }
 }
 
 // --- Admission --------------------------------------------------------------
@@ -357,6 +305,106 @@ TEST(Arrivals, ServerRunsJoinLeaveScenarioDeterministically) {
   std::size_t rebuilds = 0;
   for (const auto& shard : a.shards) rebuilds += shard.rebuilds;
   EXPECT_GT(rebuilds, a.shards.size());  // at least one mid-run rebuild
+}
+
+// --- Parked tasks and the membership path ----------------------------------
+
+/// Overload rig: flaky-shard on the virtual clock with the governor on, a
+/// fixed 2 ms/cycle host stall scaled to ~2 periods of lag per stalled
+/// cycle, so a shard sheds task 7 early and parks it for a while.
+ShardedServerSpec overload_spec(std::size_t workers) {
+  ShardedServerSpec spec;
+  spec.mix.num_tasks = 8;
+  spec.mix.seed = 20070808;
+  spec.mix.num_cycles = 8;
+  spec.num_shards = 2;
+  spec.num_workers = workers;
+  spec.cycles = 48;
+  spec.clock = ClockMode::kVirtual;
+  spec.perturb = make_perturbation_scenario("flaky-shard", spec.cycles);
+  spec.governor.check_cycles = 2;
+  const TimeNs budget = ShardedServer(spec).shard_budget();
+  spec.wall_per_sim = 1e6 / static_cast<double>(budget);
+  return spec;
+}
+
+/// How many times `task` appears across all final shard memberships.
+std::size_t residency(const ServingSummary& summary, std::size_t task) {
+  std::size_t count = 0;
+  for (const auto& shard : summary.shards) {
+    count += static_cast<std::size_t>(
+        std::count(shard.members.begin(), shard.members.end(), task));
+  }
+  return count;
+}
+
+TEST(Membership, OverloadRigParksTaskSevenAcrossTheScriptedCycles) {
+  // Precondition of the two tests below: without a script, the governor
+  // sheds task 7 before cycle 14 and re-admits it only after cycle 15.
+  const ServingSummary run = ShardedServer(overload_spec(1)).serve();
+  EXPECT_GT(run.shed_tasks, 0u);
+  std::vector<std::size_t> joins;
+  for (const AdmissionDecision& d : run.admissions) {
+    if (d.task == 7) joins.push_back(d.cycle);
+  }
+  ASSERT_EQ(joins.size(), 2u);
+  EXPECT_EQ(joins[0], 0u);
+  EXPECT_GT(joins[1], 15u);
+  EXPECT_EQ(residency(run, 7), 1u);
+}
+
+TEST(Membership, LeaveOfParkedTaskUnparksAndCounts) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    const ShardedServerSpec spec = overload_spec(workers);
+    const ArrivalSchedule schedule({ArrivalEvent{14, 7, false}}, 8, 8);
+    const ServingSummary run = ShardedServer(spec, schedule).serve();
+    EXPECT_EQ(run.leaves, 1u);
+    EXPECT_EQ(residency(run, 7), 0u);
+  }
+}
+
+TEST(Membership, LeaveThenJoinOfParkedTaskServesItOnce) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    const ShardedServerSpec spec = overload_spec(workers);
+    const ArrivalSchedule schedule(
+        {ArrivalEvent{14, 7, false}, ArrivalEvent{15, 7, true}}, 8, 8);
+    const ServingSummary run = ShardedServer(spec, schedule).serve();
+    EXPECT_EQ(run.leaves, 1u);
+    // The leave un-parked task 7, so its join is a fresh admission.
+    EXPECT_EQ(std::count_if(run.admissions.begin(), run.admissions.end(),
+                            [](const AdmissionDecision& d) {
+                              return d.task == 7 && d.cycle == 15;
+                            }),
+              1);
+    for (std::size_t task = 0; task < 8; ++task) {
+      EXPECT_LE(residency(run, task), 1u) << "task " << task;
+    }
+  }
+}
+
+TEST(Membership, JoinOfParkedTaskIsAJoinOfAPresentTask) {
+  // A front-end join of task 7 while the governor has it parked is dropped
+  // like any join of a present task; the governor's re-admission is then
+  // the only way back.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ServeFrontend frontend;
+    FrontendRequest join;
+    join.cycle = 15;
+    join.task = 7;
+    ASSERT_EQ(frontend.submit(join), PushResult::kAccepted);
+    ShardedServerSpec spec = overload_spec(workers);
+    spec.frontend = &frontend;
+    const ServingSummary run = ShardedServer(spec).serve();
+    EXPECT_EQ(run.frontend_applied, 0u);
+    EXPECT_EQ(run.frontend_dropped, 1u);
+    for (const AdmissionDecision& d : run.admissions) {
+      EXPECT_FALSE(d.task == 7 && d.cycle == 15);
+    }
+    EXPECT_EQ(residency(run, 7), 1u);
+  }
 }
 
 // --- Executor resume hand-off -----------------------------------------------

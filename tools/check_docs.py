@@ -35,6 +35,12 @@ docs, and the SLO artifact schema name declared in src/serve/frontend.hpp
 artifact's consumers can find its contract. Vacuous-pass guarded the same
 way: if the source patterns stop matching, the check fails.
 
+And in the reverse direction, for the whole CLI: every `--<flag>` that
+README.md's subcommand table lists must be read by tools/speedqm_tool.cpp
+(through get/has/parse_choice), so a deleted flag cannot outlive its code
+in the docs. Vacuous-pass guarded: a missing table, a table without
+flags, or a tool without flag reads fails the check.
+
 Paths under runtime-artifact directories (build/, bench_out/) and obvious
 non-path code spans (spaces, (), no '/') are ignored, so prose stays free
 to show commands and identifiers without tripping the gate.
@@ -300,6 +306,46 @@ def check_kernel_docs(root):
     ]
 
 
+# Every flag the tool reads, and the `--flag` spans of the README's
+# subcommand table (the rows after its `| subcommand |` header).
+TOOL_FLAG_READ = re.compile(
+    r'(?:get|has|parse_choice)\(\s*args,\s*"([a-z][a-z0-9-]*)"'
+)
+DOC_FLAG = re.compile(r"--([a-z][a-z0-9-]*)")
+
+
+def check_readme_flags_read(root):
+    """Every --flag in README.md's subcommand table must be read by the tool."""
+    readme = root / "README.md"
+    tool = root / "tools" / "speedqm_tool.cpp"
+    if not readme.exists() or not tool.exists():
+        return ["README.md or tools/speedqm_tool.cpp missing (README flag "
+                "cross-check has nothing to scan)"]
+    rows = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if rows and not line.startswith("|"):
+            break
+        if rows or line.startswith("| subcommand |"):
+            rows.append(line)
+    if not rows:
+        return ["README.md: no '| subcommand |' table found — the README "
+                "flag cross-check would pass vacuously"]
+    flags = sorted(set(DOC_FLAG.findall("\n".join(rows))))
+    if not flags:
+        return ["README.md: the subcommand table lists no --flags — the "
+                "README flag cross-check would pass vacuously"]
+    read = set(TOOL_FLAG_READ.findall(tool.read_text(encoding="utf-8")))
+    if not read:
+        return ["tools/speedqm_tool.cpp: no get/has/parse_choice flag reads "
+                "found — the README flag cross-check would pass vacuously"]
+    return [
+        f"README.md: the subcommand table lists '--{flag}' but "
+        f"tools/speedqm_tool.cpp never reads it"
+        for flag in flags
+        if flag not in read
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=None,
@@ -323,6 +369,7 @@ def main():
     problems.extend(check_realtime_docs(root))
     problems.extend(check_frontend_docs(root))
     problems.extend(check_kernel_docs(root))
+    problems.extend(check_readme_flags_read(root))
 
     for problem in problems:
         print(f"DOCS-FAIL: {problem}")

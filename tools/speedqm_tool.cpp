@@ -11,7 +11,7 @@
 //
 // Example session (the paper's experiment end to end):
 //   speedqm_tool gen --out mpeg.traces
-//   speedqm_tool compile --traces mpeg.traces --out mpeg
+//   speedqm_tool compile --out mpeg
 //   speedqm_tool run --traces mpeg.traces --tables mpeg --manager relaxation
 //   speedqm_tool inspect --tables mpeg
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +46,13 @@ using namespace speedqm;
 
 namespace {
 
-using ArgMap = std::map<std::string, std::string>;
+/// A subcommand's --flags. Every lookup records its flag as read, so
+/// reject_unread() can refuse flags the subcommand never reads: a typo or
+/// a removed flag fails loudly instead of silently leaving the default.
+struct ArgMap {
+  std::map<std::string, std::string> values;
+  mutable std::set<std::string> read;
+};
 
 ArgMap parse_args(int argc, char** argv, int first) {
   ArgMap args;
@@ -60,15 +67,33 @@ ArgMap parse_args(int argc, char** argv, int first) {
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       value = argv[++i];
     }
-    args[key] = value;
+    args.values[key] = value;
   }
   return args;
 }
 
+bool has(const ArgMap& args, const std::string& key) {
+  args.read.insert(key);
+  return args.values.count(key) > 0;
+}
+
 std::string get(const ArgMap& args, const std::string& key,
                 const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
+  args.read.insert(key);
+  const auto it = args.values.find(key);
+  return it == args.values.end() ? fallback : it->second;
+}
+
+/// Exits 64 naming the first flag the subcommand has not read. Each
+/// subcommand calls it once all its flags are read, before any output.
+void reject_unread(const ArgMap& args, const char* command) {
+  for (const auto& entry : args.values) {
+    if (args.read.count(entry.first) == 0) {
+      std::fprintf(stderr, "error: unknown flag --%s for %s\n",
+                   entry.first.c_str(), command);
+      std::exit(64);
+    }
+  }
 }
 
 /// Enum-style flag parsing: the value must be one of `valid`, otherwise the
@@ -154,6 +179,7 @@ PaperScenario scenario_from(const ArgMap& args) {
 int cmd_gen(const ArgMap& args) {
   auto scenario = scenario_from(args);
   const std::string out = get(args, "out", "mpeg.traces");
+  reject_unread(args, "gen");
   save_traces_file(scenario.traces(), out);
   std::printf("wrote %zu cycles x %zu actions x %d levels to %s\n",
               scenario.traces().num_cycles(), scenario.app().size(),
@@ -177,6 +203,7 @@ int cmd_compile(const ArgMap& args) {
   }
   if (flavor_name == "regions") flavor = ManagerFlavor::kRegions;
   if (flavor_name == "batch") flavor = ManagerFlavor::kBatch;
+  reject_unread(args, "compile");
 
   const TimingModel tm = scenario.controller_model(flavor);
   const PolicyEngine engine(scenario.app(), tm);
@@ -217,6 +244,7 @@ int cmd_run(const ArgMap& args) {
        "relaxation", "batch"},
       "run");
   const std::string csv = get(args, "csv", "");
+  reject_unread(args, "run");
 
   // Content: regenerate from seed or replay a trace file.
   TraceTimeSource traces =
@@ -295,7 +323,7 @@ int cmd_multitask(const ArgMap& args) {
   const std::string flavor = parse_choice(
       args, "manager", "batch", {"batch", "batch-incremental", "sequential"},
       "multitask");
-  const bool stream = args.count("stream") > 0;
+  const bool stream = has(args, "stream");
   const std::string arena = parse_choice(args, "arena", "flat",
                                          {"flat", "compressed"}, "multitask");
   const ArenaLayout layout =
@@ -315,6 +343,8 @@ int cmd_multitask(const ArgMap& args) {
   const std::string workload_name =
       parse_choice(args, "workload", "none", workload_choices(), "multitask");
   const RealtimeArgs rt = realtime_from(args, "multitask");
+  const std::string workload_params = get(args, "workload-spec", "");
+  reject_unread(args, "multitask");
 
   MultiTaskMix mix(spec);
   const auto engines = mix.engines();
@@ -377,7 +407,7 @@ int cmd_multitask(const ArgMap& args) {
     WorkloadSpec wspec;
     wspec.cycles = cycles;
     wspec.mix = spec;
-    parse_workload_params(get(args, "workload-spec", ""), wspec);
+    parse_workload_params(workload_params, wspec);
     if (wspec.cycles != cycles) {
       std::fprintf(stderr,
                    "error: --workload-spec cycles=%zu conflicts with the "
@@ -513,7 +543,7 @@ int cmd_multitask(const ArgMap& args) {
 // Sharded multi-clock serving: the task pool partitioned across S shards
 // (each with its own platform clock, batched engine and streaming
 // executor) under admission control, with optional mid-run task
-// arrivals/leaves and async manager invocation off the action threads.
+// arrivals/leaves.
 int cmd_serve(const ArgMap& args) {
   ShardedServerSpec spec;
   spec.mix.num_tasks =
@@ -526,7 +556,6 @@ int cmd_serve(const ArgMap& args) {
   spec.num_workers =
       static_cast<std::size_t>(std::stoull(get(args, "workers", "0")));
   spec.cycles = static_cast<std::size_t>(std::stoull(get(args, "cycles", "64")));
-  spec.async_manager = args.count("async") > 0;
   const std::string arena =
       parse_choice(args, "arena", "flat", {"flat", "compressed"}, "serve");
   spec.layout = arena == "compressed" ? ArenaLayout::kCompressed
@@ -544,26 +573,35 @@ int cmd_serve(const ArgMap& args) {
                                              : PlacementPolicy::kBestFit;
   const std::string perturb_name =
       parse_choice(args, "perturb", "none", perturb_choices(), "serve");
-  if (perturb_name != "none") {
-    spec.perturb = make_perturbation_scenario(perturb_name, spec.cycles);
-    std::printf("perturbation   : %s (%s)\n", perturb_name.c_str(),
-                spec.perturb.describe().c_str());
-  }
   const RealtimeArgs rt = realtime_from(args, "serve");
   spec.clock = rt.clock;
   spec.wall_per_sim = rt.wall_per_sim;
   spec.watchdog = rt.watchdog;
   spec.governor = rt.governor;
+  const std::string workload_name =
+      parse_choice(args, "workload", "none", workload_choices(), "serve");
+  const std::string workload_params = get(args, "workload-spec", "");
+  const auto arrivals =
+      static_cast<std::size_t>(std::stoull(get(args, "arrivals", "0")));
+  const bool has_initial = has(args, "initial");
+  const auto cli_initial =
+      static_cast<std::size_t>(std::stoull(get(args, "initial", "0")));
+  const std::size_t frontend_producers =
+      static_cast<std::size_t>(std::stoull(get(args, "frontend", "0")));
+  const std::string slo_out = get(args, "slo-out", "");
+  const double slo_target = std::stod(get(args, "slo-target", "0.05"));
+  reject_unread(args, "serve");
+
+  if (perturb_name != "none") {
+    spec.perturb = make_perturbation_scenario(perturb_name, spec.cycles);
+    std::printf("perturbation   : %s (%s)\n", perturb_name.c_str(),
+                spec.perturb.describe().c_str());
+  }
   if (spec.clock != ClockMode::kSim) {
     std::printf("clock          : %s (x%.3g wall/sim, governor %s)\n",
                 to_string(spec.clock), spec.wall_per_sim,
                 spec.governor.enabled ? "on" : "off");
   }
-
-  const std::string workload_name =
-      parse_choice(args, "workload", "none", workload_choices(), "serve");
-  const auto arrivals =
-      static_cast<std::size_t>(std::stoull(get(args, "arrivals", "0")));
   if (workload_name != "none" && arrivals > 0) {
     std::fprintf(stderr, "error: --workload and --arrivals both script the "
                          "session churn; pick one\n");
@@ -579,12 +617,8 @@ int cmd_serve(const ArgMap& args) {
     wspec.pool_tasks = spec.mix.num_tasks;
     wspec.initial_tasks = spec.mix.num_tasks - std::min(
         spec.mix.num_tasks / 4 + 1, spec.mix.num_tasks - 1);
-    if (args.count("initial") > 0) {
-      wspec.initial_tasks = static_cast<std::size_t>(
-          std::stoull(get(args, "initial", "0")));
-    }
-    const std::size_t cli_initial = wspec.initial_tasks;
-    parse_workload_params(get(args, "workload-spec", ""), wspec);
+    if (has_initial) wspec.initial_tasks = cli_initial;
+    parse_workload_params(workload_params, wspec);
     // The generated script feeds the server's shard membership and
     // per-task source lookups, so its geometry must be the served one:
     // an overridden pool would script joins for task ids the mix does
@@ -597,7 +631,7 @@ int cmd_serve(const ArgMap& args) {
                    wspec.pool_tasks, spec.mix.num_tasks);
       return 64;
     }
-    if (args.count("initial") > 0 && wspec.initial_tasks != cli_initial) {
+    if (has_initial && wspec.initial_tasks != cli_initial) {
       std::fprintf(stderr,
                    "error: --initial %zu conflicts with --workload-spec "
                    "initial=%zu; pick one\n",
@@ -636,20 +670,18 @@ int cmd_serve(const ArgMap& args) {
     std::printf("arrival script : %s\n", schedule.describe().c_str());
   } else if (arrivals > 0) {
     // Hold back ~1/4 of the pool so the arrival wave has tasks to add.
-    spec.initial_tasks = spec.mix.num_tasks - std::min(
-        spec.mix.num_tasks / 4 + 1, spec.mix.num_tasks - 1);
-    spec.initial_tasks = static_cast<std::size_t>(std::stoull(
-        get(args, "initial", std::to_string(spec.initial_tasks))));
+    spec.initial_tasks = has_initial
+                             ? cli_initial
+                             : spec.mix.num_tasks - std::min(
+                                   spec.mix.num_tasks / 4 + 1,
+                                   spec.mix.num_tasks - 1);
     schedule = make_arrival_schedule(spec.mix.num_tasks, spec.initial_tasks,
                                      spec.cycles, arrivals, spec.mix.seed ^ 0x5e);
     std::printf("arrival script : %s\n", schedule.describe().c_str());
-  } else if (args.count("initial") > 0) {
-    spec.initial_tasks =
-        static_cast<std::size_t>(std::stoull(get(args, "initial", "0")));
+  } else if (has_initial) {
+    spec.initial_tasks = cli_initial;
   }
 
-  const std::size_t frontend_producers =
-      static_cast<std::size_t>(std::stoull(get(args, "frontend", "0")));
   std::unique_ptr<ServeFrontend> frontend;
   if (frontend_producers > 0) {
     // Route the arrival script through the ingest front-end: N producer
@@ -694,17 +726,15 @@ int cmd_serve(const ArgMap& args) {
 
   ShardedServer server(spec, std::move(schedule));
   std::printf("pool           : %zu tasks, shard budget %s x %zu shards, "
-              "%s manager, %zu cycles\n",
+              "%zu cycles\n",
               server.pool().size(), format_time(server.shard_budget()).c_str(),
-              server.num_shards(), spec.async_manager ? "async" : "inline",
-              spec.cycles);
+              server.num_shards(), spec.cycles);
   const ServingSummary summary = server.serve();
   std::printf("%s", summary.render().c_str());
 
-  const std::string slo_out = get(args, "slo-out", "");
   if (!slo_out.empty()) {
     SloArtifactOptions slo;
-    slo.target_miss_rate = std::stod(get(args, "slo-target", "0.05"));
+    slo.target_miss_rate = slo_target;
     if (!write_slo_artifact(slo_out, summary, slo)) {
       std::fprintf(stderr, "error: cannot write SLO artifact to %s\n",
                    slo_out.c_str());
@@ -718,6 +748,7 @@ int cmd_serve(const ArgMap& args) {
 
 int cmd_inspect(const ArgMap& args) {
   const std::string tables = get(args, "tables", "mpeg");
+  reject_unread(args, "inspect");
   const auto regions = RegionCompiler::load_regions_file(tables + ".regions");
   std::printf("%s.regions: %zu states x %d levels = %zu integers (%zu bytes)\n",
               tables.c_str(), regions.num_states(), regions.num_levels(),
@@ -759,7 +790,7 @@ void usage() {
       "           [--workload mix|trace-replay] [--workload-spec K=V,...]\n"
       "           [--clock sim|wall|virtual] [real-time flags]\n"
       "  serve    [--tasks N] [--shards S] [--workers W] [--cycles N]\n"
-      "           [--arrivals N] [--initial K] [--async] [--seed N] [--factor F]\n"
+      "           [--arrivals N] [--initial K] [--seed N] [--factor F]\n"
       "           [--placement best-fit|most-slack] [--arena flat|compressed]\n"
       "           [--kernel auto|scalar|vector] [--perturb NAME]\n"
       "           [--workload poisson|bursty|diurnal|checkpoint]\n"
